@@ -91,7 +91,7 @@ def run_arm(n_items: int, seed: int, *, ledger_dir: Path | None) -> dict:
         max_iterations=ITERATIONS,
     )
     wall0 = time.perf_counter()
-    report = loop.run(state)
+    report = loop.run(state=state)
     host_wall = time.perf_counter() - wall0
     assert report.final is not None
     return {

@@ -150,7 +150,7 @@ def run_arm(n_items: int, seed: int, *, cached: bool) -> dict:
         max_iterations=ITERATIONS,
     )
     wall0 = time.perf_counter()
-    report = loop.run(state)
+    report = loop.run(state=state)
     host_wall = time.perf_counter() - wall0
     assert report.final is not None
     return {

@@ -3,13 +3,17 @@
 Everything an embedder needs, re-exported from one module with a curated
 ``__all__`` — so applications stop importing from deep private paths
 (``repro.runtime.parallel``, ``repro.llm.model``, …) that are free to
-move between releases.  The facade is the compatibility contract:
+move between releases.  The package root ``repro`` re-exports exactly
+this ``__all__``.  The facade is the compatibility contract:
 
 - the prompt algebra — :class:`Pipeline`, the core and derived
-  operators, :class:`ExecutionState` and its ``(P, C, M)`` stores;
+  operators, :class:`ExecutionState` and its ``(P, C, M)`` stores, and
+  the refinement strategies (:func:`manual_refinement` and friends);
 - the runners — :class:`Executor`, :class:`ParallelBatchRunner`,
-  :class:`RefinementLoop`, configured via :class:`RuntimeOptions`;
+  :class:`RefinementLoop`, configured via :class:`RuntimeOptions`, plus
+  :func:`shadow_run` and :func:`verify_replay`;
 - the serving substrate — :class:`SimulatedLLM`, :class:`ModelProfile`,
+  :class:`RadixPrefixCache`, :class:`StructuredPromptCache`,
   :class:`ResultCache`;
 - the serving layer — :class:`SpearServer` with typed
   :class:`ServeRequest` / :class:`ServeResponse` messages,
@@ -20,17 +24,17 @@ move between releases.  The facade is the compatibility contract:
   :class:`BreakerPolicy`, :class:`CircuitBreaker`,
     :class:`FallbackChain` + targets, :class:`ResilienceRuntime`;
 - observability — :class:`ObsCollector`, :class:`MetricsRegistry`,
-  :func:`build_run_report`, plus the cross-run layer: the persistent
-  :class:`Ledger` / :class:`RunLedger`, :class:`SeriesRecorder` time
-  series, and :func:`build_attribution` per-prompt-version costing;
+  :func:`build_run_report`, :func:`to_prometheus`, plus the cross-run
+  layer: the persistent :class:`Ledger` / :class:`RunLedger`,
+  :class:`SeriesRecorder` time series, and :func:`build_attribution`
+  per-prompt-version costing;
 - static analysis — :func:`check_pipeline`, :func:`check_program`,
   :func:`check_state`, :class:`Diagnostic`, :class:`CheckResult`,
   :class:`Severity` (and the strict-mode :class:`SpearValidationError`).
 
 Importing this module (and touching every ``__all__`` name) emits no
-DeprecationWarning: the facade never routes through deprecated keywords,
-and CI imports it under ``-W error::DeprecationWarning`` to keep it that
-way.
+DeprecationWarning; CI imports it under ``-W error::DeprecationWarning``
+to keep it that way.
 
 Quickstart::
 
@@ -76,6 +80,11 @@ from repro.core import (
     RefAction,
     RefinementMode,
     ViewRegistry,
+    adaptive_hint,
+    assisted_refinement,
+    auto_refinement,
+    manual_refinement,
+    refine_on_low_confidence,
 )
 from repro.errors import (
     CircuitOpenError,
@@ -90,7 +99,9 @@ from repro.errors import TimeoutError  # noqa: A004 - the taxonomy's name
 from repro.llm import (
     GenerationResult,
     ModelProfile,
+    RadixPrefixCache,
     SimulatedLLM,
+    StructuredPromptCache,
     Tokenizer,
     get_profile,
 )
@@ -106,6 +117,7 @@ from repro.obs import (
     SeriesRecorder,
     build_attribution,
     build_run_report,
+    to_prometheus,
 )
 from repro.resilience import (
     BreakerPolicy,
@@ -130,6 +142,8 @@ from repro.runtime import (
     RuntimeOptions,
     SchedulerConfig,
     VirtualClock,
+    shadow_run,
+    verify_replay,
 )
 from repro.serve import (
     ServeRequest,
@@ -164,6 +178,12 @@ __all__ = [
     "RefAction",
     "RefinementMode",
     "ViewRegistry",
+    # refinement strategies
+    "manual_refinement",
+    "assisted_refinement",
+    "auto_refinement",
+    "refine_on_low_confidence",
+    "adaptive_hint",
     # runners
     "Executor",
     "BatchRunner",
@@ -175,6 +195,8 @@ __all__ = [
     "VirtualClock",
     "PriorityClass",
     "SchedulerConfig",
+    "shadow_run",
+    "verify_replay",
     # serving layer
     "SpearServer",
     "ServeRequest",
@@ -187,6 +209,8 @@ __all__ = [
     "ModelProfile",
     "get_profile",
     "Tokenizer",
+    "RadixPrefixCache",
+    "StructuredPromptCache",
     # resilience
     "FaultSpec",
     "FaultPlan",
@@ -211,6 +235,7 @@ __all__ = [
     "MetricsRegistry",
     "RunReport",
     "build_run_report",
+    "to_prometheus",
     "Pricing",
     "AttributionReport",
     "build_attribution",

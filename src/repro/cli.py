@@ -1235,15 +1235,13 @@ def main(argv: list[str] | None = None) -> int:
         "top": _cmd_top,
         "serve": _cmd_serve,
     }
-    if args.command in ("check", "stats", "trace", "runs", "diff", "top"):
-        # Checked/traced files are untrusted input: a rejected or
-        # malformed file is a clean CLI error, not a traceback.
-        try:
-            return handlers[args.command](args)
-        except SpearError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    return handlers[args.command](args)
+    # Every subcommand reads untrusted input (DL sources, traces, ledgers,
+    # arguments): a rejected input is a clean CLI error, not a traceback.
+    try:
+        return handlers[args.command](args)
+    except SpearError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

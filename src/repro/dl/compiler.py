@@ -17,15 +17,19 @@ from __future__ import annotations
 from repro.analysis.diagnostics import SourceSpan
 from repro.core.algebra import Condition, Operator
 from repro.core.derived import DIFF, EXPAND, RETRY, VIEW
-from repro.core.entry import RefAction
+from repro.core.entry import RefAction, RefinementMode
 from repro.core.operators import CHECK, DELEGATE, GEN, MERGE, REF, RET
 from repro.core.pipeline import Pipeline
 from repro.core.views import ViewRegistry
 from repro.dl.ast_nodes import ConditionNode, OpCall, Program, Statement
 from repro.dl.parser import parse
-from repro.errors import DslCompileError
+from repro.errors import DslCompileError, OperatorError
 
 __all__ = ["CompiledProgram", "compile_program", "compile_source"]
+
+#: keyword arguments that name a prompt, context key, source query or
+#: strategy; any other literal there is a compile error, not a crash.
+_STRING_KWARGS = frozenset({"key", "prompt", "into", "query", "payload", "strategy"})
 
 
 def _condition_from_node(node: ConditionNode) -> Condition:
@@ -76,6 +80,16 @@ class _Lowering:
             raise self._fail(call, f"expects a string {what} at position {index}")
         return call.args[index]
 
+    def _mode(self, call: OpCall) -> RefinementMode | None:
+        """The optional ``mode=`` of REF/EXPAND, matched case-insensitively."""
+        value = call.kwargs.get("mode")
+        if value is None:
+            return None
+        if isinstance(value, str) and value.upper() in RefinementMode.__members__:
+            return RefinementMode[value.upper()]
+        choices = ", ".join(RefinementMode.__members__)
+        raise self._fail(call, f"mode={value!r} must be one of {choices}")
+
     # -- per-operator lowering --------------------------------------------
 
     def lower_op(self, call: OpCall) -> Operator:
@@ -87,7 +101,16 @@ class _Lowering:
                 column=call.column,
                 file=self.filename,
             )
-        operator = lowerer(call)
+        for name in _STRING_KWARGS.intersection(call.kwargs):
+            if not isinstance(call.kwargs[name], str):
+                raise self._fail(call, f"{name}= must be a string")
+        try:
+            operator = lowerer(call)
+        except (ValueError, OperatorError) as error:
+            # Operator constructors validate their own literal arguments
+            # (MERGE strategy, RET query/prompt, RETRY budget); report
+            # those at the DL term, not as a bare exception.
+            raise self._fail(call, str(error)) from None
         operator.span = self._span(call)
         return operator
 
@@ -105,6 +128,8 @@ class _Lowering:
         if not isinstance(prompt, str):
             raise self._fail(call, "requires prompt=<prompt key>")
         max_tokens = call.kwargs.get("max_tokens")
+        if max_tokens is not None and not isinstance(max_tokens, int):
+            raise self._fail(call, "max_tokens must be an integer")
         return GEN(label, prompt=prompt, max_tokens=max_tokens)
 
     def _lower_ref(self, call: OpCall) -> Operator:
@@ -123,13 +148,12 @@ class _Lowering:
         key = call.kwargs.get("key")
         if not isinstance(key, str):
             raise self._fail(call, "requires key=<prompt key>")
-        mode = call.kwargs.get("mode")
-        return REF(action, text, key=key, mode=mode.upper() if mode else None)
+        return REF(action, text, key=key, mode=self._mode(call))
 
     def _lower_expand(self, call: OpCall) -> Operator:
         key = self._require_string(call, 0, "prompt key")
         addition = self._require_string(call, 1, "addition")
-        return EXPAND(key, addition, mode=call.kwargs.get("mode"))
+        return EXPAND(key, addition, mode=self._mode(call))
 
     def _lower_check(self, call: OpCall, then: Operator | None = None) -> Operator:
         if len(call.args) != 1 or not isinstance(call.args[0], ConditionNode):
@@ -225,8 +249,8 @@ class _Lowering:
             else None
         )
         max_retries = call.kwargs.get("max_retries", 2)
-        if not isinstance(max_retries, int):
-            raise self._fail(call, "max_retries must be an integer")
+        if not isinstance(max_retries, int) or max_retries < 0:
+            raise self._fail(call, "max_retries must be a non-negative integer")
         # The DSL's retry budget lowers onto a first-class RetryPolicy so
         # DSL retries and runtime-injected fault retries share semantics
         # (error-retry with deterministic backoff included).

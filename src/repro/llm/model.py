@@ -149,8 +149,8 @@ class SimulatedLLM:
 
     # -- generation -----------------------------------------------------------
     #
-    # ``generate`` composes three backend steps that the GEN micro-batcher
-    # (:mod:`repro.llm.batcher`) also drives individually: ``prepare``
+    # ``generate`` composes three backend steps that the GEN engine
+    # (:mod:`repro.runtime.scheduler`) also drives individually: ``prepare``
     # (tokenize + validate), ``execute_task`` (deterministic task output),
     # and ``record_result`` (counters + listeners).  Keeping them public
     # means batched and unbatched calls share one code path for

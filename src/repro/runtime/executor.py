@@ -22,10 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import Pipeline
     from repro.core.state import ExecutionState
     from repro.core.store import PromptStore
-    from repro.core.views import ViewRegistry
-    from repro.obs.collector import ObsCollector
     from repro.runtime.options import RuntimeOptions
-    from repro.runtime.result_cache import ResultCache
 
 __all__ = ["RunResult", "Executor"]
 
@@ -83,36 +80,16 @@ class RunResult:
 class Executor:
     """Builds execution states and runs pipelines against them.
 
-    Configure it with ``options=RuntimeOptions(...)`` (the supported
-    surface).  The individual service keywords (``model=``, ``views=``,
-    ``clock=``, ``collector=``, ``result_cache=``) completed their
-    deprecation cycle: passing one raises :class:`TypeError` naming the
-    exact ``options=`` replacement.
+    Configure it with ``options=RuntimeOptions(...)``: the model, views,
+    clock, collector, result cache and resilience runtime all come from
+    that one object.
     """
 
-    def __init__(
-        self,
-        *,
-        options: "RuntimeOptions | None" = None,
-        model: Any = None,
-        views: "ViewRegistry | None" = None,
-        clock: VirtualClock | None = None,
-        collector: "ObsCollector | None" = None,
-        result_cache: "ResultCache | None" = None,
-    ) -> None:
-        from repro.runtime.options import resolve_legacy_kwargs
+    def __init__(self, *, options: "RuntimeOptions | None" = None) -> None:
+        from repro.runtime.options import RuntimeOptions
 
-        options = resolve_legacy_kwargs(
-            "Executor",
-            options,
-            {
-                "model": model,
-                "views": views,
-                "clock": clock,
-                "collector": collector,
-                "result_cache": result_cache,
-            },
-        )
+        if options is None:
+            options = RuntimeOptions()
         self.options = options
         self.model = options.model
         from repro.core.views import ViewRegistry

@@ -16,7 +16,6 @@ rounds, collects per-iteration cache activity from the executor's
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -190,7 +189,7 @@ class RefinementLoop:
 
     def run(
         self,
-        pipeline: "Pipeline | ExecutionState | None" = None,
+        pipeline: "Pipeline | None" = None,
         *,
         items: Any = None,
         options: "RuntimeOptions | None" = None,
@@ -207,32 +206,14 @@ class RefinementLoop:
         runners instead).  ``options=`` re-runs on a derived executor
         carrying the given :class:`RuntimeOptions`.
 
-        The legacy positional form ``run(state)`` still works behind a
-        DeprecationWarning.
-
         With ``RuntimeOptions(ledger_dir=...)`` on the executor, the
         *whole* loop is one ledger run: every iteration's events — and
         the REFINE events between iterations — land in a single
         ``runs/<run_id>/`` directory (the per-run scope inside
         ``Executor.run`` is reentrant and defers to this one).
         """
-        from repro.core.state import ExecutionState as _ExecutionState
         from repro.obs.ledger import describe_options, describe_pipeline, ledger_scope
 
-        if isinstance(pipeline, _ExecutionState):
-            if state is not None:
-                raise TypeError(
-                    "RefinementLoop.run: state passed both positionally "
-                    "and as state="
-                )
-            warnings.warn(
-                "RefinementLoop.run(state) is deprecated; pass "
-                "run(state=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            state = pipeline
-            pipeline = None
         if items is not None:
             raise TypeError(
                 "RefinementLoop.run: items= is not supported — the loop "

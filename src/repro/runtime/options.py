@@ -6,12 +6,8 @@ scattered (with varying names) across the :class:`~repro.runtime.executor.Execut
 :class:`~repro.runtime.incremental.RefinementLoop` constructors — the
 model backend, view registry, virtual clock, observability collector,
 metrics registry, operator-level result cache, and the resilience
-runtime.  All three runners accept ``options=``; their legacy per-knob
-keyword arguments — deprecated since the options object landed — now
-raise a clean :class:`TypeError` naming the ``options=`` replacement.
-
-Passing both ``options=`` and a legacy keyword for the same knob is an
-error (there is no sensible precedence between them).
+runtime.  All three runners take these services only through
+``options=``.
 """
 
 from __future__ import annotations
@@ -71,8 +67,9 @@ class RuntimeOptions:
     #: default (the parallel runner uses the continuous scheduler, the
     #: sequential Executor stays direct); ``True`` /
     #: :class:`~repro.runtime.scheduler.SchedulerConfig` forces the
-    #: continuous engine on; ``False`` forces the legacy full-barrier
-    #: micro-batcher.  The config's ``prefix_group_blocks`` /
+    #: continuous engine on; ``False`` keeps the Executor and the serve
+    #: pool on the direct path (the parallel runner always batches and
+    #: rejects it with :class:`TypeError`).  The config's ``prefix_group_blocks`` /
     #: ``prefix_dedup`` knobs control prefix-aware admission: grouping
     #: shared-trunk requests into the same step and charging each step's
     #: shared trunk prefill once instead of once per request.
@@ -97,34 +94,3 @@ class RuntimeOptions:
             raise TypeError(f"unknown RuntimeOptions fields: {sorted(unknown)}")
         values.update(overrides)
         return RuntimeOptions(**values)
-
-
-def resolve_legacy_kwargs(
-    owner: str,
-    options: RuntimeOptions | None,
-    legacy: dict[str, Any],
-) -> RuntimeOptions:
-    """Reject the removed per-knob kwargs in favour of :class:`RuntimeOptions`.
-
-    ``legacy`` maps field name → value-as-passed (None meaning "not
-    passed").  The per-knob keywords were deprecated when the options
-    object landed and have now completed their migration: any non-None
-    legacy value raises a :class:`TypeError` that names the exact
-    ``options=RuntimeOptions(...)`` replacement.
-    """
-    used = {name: value for name, value in legacy.items() if value is not None}
-    if options is not None:
-        if used:
-            raise TypeError(
-                f"{owner}: pass either options= or the legacy keyword(s) "
-                f"{sorted(used)}, not both"
-            )
-        return options
-    if used:
-        names = ", ".join(f"{name}=" for name in sorted(used))
-        replacement = ", ".join(f"{name}=..." for name in sorted(used))
-        raise TypeError(
-            f"{owner}({names}) was removed; pass "
-            f"options=RuntimeOptions({replacement}) instead"
-        )
-    return RuntimeOptions()

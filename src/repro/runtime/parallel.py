@@ -12,14 +12,12 @@ engine for the reproduction:
   from a :class:`~repro.runtime.clock.LaneClockGroup`) and its own
   private event log, so span brackets never interleave across threads;
 - generation calls route through the event-driven
-  :class:`~repro.runtime.scheduler.GenScheduler` by default: batches
-  form on token-budget and virtual-clock timeout watermarks, a
-  priority-class + deadline policy orders admission
+  :class:`~repro.runtime.scheduler.GenScheduler`: batches form on
+  token-budget and virtual-clock timeout watermarks, a priority-class +
+  deadline policy orders admission
   (``RuntimeOptions(scheduler=…, priority=…, deadline_s=…)``), and each
   lane's clock advances to its *own* completion instead of the
   slowest peer's — continuous flow, not a barrier.
-  ``RuntimeOptions(scheduler=False)`` selects the legacy full-barrier
-  :class:`~repro.llm.batcher.GenMicroBatcher`.
 - admission is **prefix-aware**: requests whose tokenized prompts share
   a structured-prompt trunk (``SchedulerConfig.prefix_group_blocks``
   leading cache blocks) are grouped into the same engine step, their
@@ -43,7 +41,6 @@ clock is advanced to the merged lane time.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.runtime.batch import (
@@ -58,8 +55,8 @@ from repro.runtime.events import EventKind, EventLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import Pipeline
     from repro.core.state import ExecutionState
-    from repro.obs.metrics import MetricsRegistry
     from repro.runtime.options import RuntimeOptions
+    from repro.runtime.scheduler import GenScheduler
 
 __all__ = ["ParallelBatchRunner"]
 
@@ -78,26 +75,21 @@ class ParallelBatchRunner:
     Args:
         workers: number of worker lanes (threads).  The effective lane
             count is ``min(workers, len(items))``.
-        microbatch: coalesce concurrent generation calls into shared
-            engine steps (the default).  ``False`` still runs lanes
-            concurrently but gives every call its own engine step —
-            lane-parallelism without batched prefill/decode sharing.
-        max_batch: cap on requests per engine step; an oversized
-            admission set is split into consecutive steps.
         options: shared :class:`~repro.runtime.options.RuntimeOptions`;
-            its ``scheduler`` selects the generation engine (default:
-            the continuous :class:`~repro.runtime.scheduler.GenScheduler`;
-            ``False`` selects the legacy barrier batcher; a
-            :class:`~repro.runtime.scheduler.SchedulerConfig` tunes the
-            watermark/token-budget policy), its ``priority`` /
+            its ``scheduler`` tunes the continuous
+            :class:`~repro.runtime.scheduler.GenScheduler` (a
+            :class:`~repro.runtime.scheduler.SchedulerConfig` sets the
+            watermark/token-budget policy and the per-step cap
+            ``max_batch``; ``SchedulerConfig(max_batch=1)`` gives every
+            call its own engine step — lane overlap without batched
+            prefill/decode sharing; ``None``/``True`` use the defaults,
+            and ``False`` raises :class:`TypeError`), its ``priority`` /
             ``deadline_s`` set per-item scheduling attributes (constants
             or callables ``item -> value``), its ``metrics`` instruments
             lanes/queues/engine steps, its ``result_cache`` and
             ``resilience`` are attached to the base state when that
             state has none (per-lane breaker state is shared safely:
             forked item states carry the same runtime).
-        metrics: removed — passing it raises TypeError; use
-            ``options=RuntimeOptions(metrics=...)``.
         isolate_prompts: fork items with private prompt stores (see
             :meth:`ExecutionState.fork`); use when the pipeline refines
             prompts per item and lanes must not observe each other.
@@ -110,21 +102,25 @@ class ParallelBatchRunner:
         bind: "Callable[[ExecutionState, Any], None] | None" = None,
         on_error: str = "raise",
         workers: int = 4,
-        microbatch: bool = True,
-        max_batch: int = 64,
         options: "RuntimeOptions | None" = None,
-        metrics: "MetricsRegistry | None" = None,
         isolate_prompts: bool = False,
     ) -> None:
         if on_error not in ("raise", "collect"):
             raise ValueError(f"on_error must be 'raise' or 'collect': {on_error!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        from repro.runtime.options import resolve_legacy_kwargs
+        from repro.runtime.options import RuntimeOptions
+        from repro.runtime.scheduler import resolve_scheduler_config
 
-        options = resolve_legacy_kwargs(
-            "ParallelBatchRunner", options, {"metrics": metrics}
-        )
+        if options is None:
+            options = RuntimeOptions()
+        if options.scheduler is False:
+            raise TypeError(
+                "ParallelBatchRunner always runs the continuous GenScheduler; "
+                "for one request per engine step pass "
+                "options=RuntimeOptions(scheduler=SchedulerConfig(max_batch=1))"
+            )
+        self.scheduler_config = resolve_scheduler_config(options.scheduler)
         self.options = options
         self.base_state = base_state
         if bind is None:
@@ -139,14 +135,11 @@ class ParallelBatchRunner:
         self.bind = bind
         self.on_error = on_error
         self.workers = workers
-        self.microbatch = microbatch
-        self.max_batch = max_batch
         self.metrics = options.metrics
         self.isolate_prompts = isolate_prompts
-        #: the generation engine of the most recent run — a
-        #: :class:`~repro.runtime.scheduler.GenScheduler` or legacy
-        #: :class:`~repro.llm.batcher.GenMicroBatcher` (introspection/tests).
-        self.last_batcher: Any | None = None
+        #: the :class:`~repro.runtime.scheduler.GenScheduler` of the most
+        #: recent run (introspection/tests).
+        self.last_batcher: "GenScheduler | None" = None
 
     # -- the run --------------------------------------------------------------
 
@@ -163,15 +156,14 @@ class ParallelBatchRunner:
         from repro.analysis import cached_check_state
         from repro.errors import SpearValidationError
 
-        # The parallel runner's effective engine is the continuous
-        # scheduler unless explicitly disabled, so the runtime mapping
-        # reports the *effective* selection, not the raw option.
+        # The parallel runner always runs the continuous scheduler, even
+        # when options.scheduler is None.
         result = cached_check_state(
             pipeline,
             self.base_state,
             open_context=True,
             runtime={
-                "scheduler": self.options.scheduler is not False,
+                "scheduler": True,
                 "priority": self.options.priority,
                 "deadline_s": self.options.deadline_s,
                 "lanes": self.workers,
@@ -193,40 +185,21 @@ class ParallelBatchRunner:
     def run(
         self,
         pipeline: "Pipeline",
-        *args: Any,
+        *,
         items: "Iterable[Any] | Sequence[Any] | None" = None,
         options: "RuntimeOptions | None" = None,
     ) -> BatchResult:
         """Execute ``pipeline`` once per item across the worker lanes.
 
-        The unified runner signature: pass the dataset as ``items=`` (the
-        legacy positional second argument still works behind a
-        DeprecationWarning), and optionally a per-call ``options=``
-        override (a sibling runner with the same lanes/binding runs the
-        batch; this runner is not mutated).
+        The unified runner signature: pass the dataset as ``items=``, and
+        optionally a per-call ``options=`` override (a sibling runner with
+        the same lanes/binding runs the batch; this runner is not
+        mutated).
 
         With ``RuntimeOptions(ledger_dir=...)`` the whole batch is one
         ledger run on the base state; lane events land in it when they
         are folded back at completion.
         """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    "ParallelBatchRunner.run takes at most one positional "
-                    f"items argument, got {len(args)}"
-                )
-            if items is not None:
-                raise TypeError(
-                    "ParallelBatchRunner.run: items passed both "
-                    "positionally and as items="
-                )
-            warnings.warn(
-                "ParallelBatchRunner.run(pipeline, items) is deprecated; "
-                "pass run(pipeline, items=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            items = args[0]
         if items is None:
             items = []
         if options is not None:
@@ -235,8 +208,6 @@ class ParallelBatchRunner:
                 bind=self.bind,
                 on_error=self.on_error,
                 workers=self.workers,
-                microbatch=self.microbatch,
-                max_batch=self.max_batch,
                 options=options,
                 isolate_prompts=self.isolate_prompts,
             )
@@ -252,7 +223,6 @@ class ParallelBatchRunner:
                 "runner": "ParallelBatchRunner",
                 "pipeline": describe_pipeline(pipeline),
                 "workers": self.workers,
-                "microbatch": self.microbatch,
                 "options": describe_options(self.options),
             },
             registry=self.metrics,
@@ -289,22 +259,18 @@ class ParallelBatchRunner:
             for lane_log in lane_logs:
                 cache.subscribe_to(lane_log, base.prompts)
 
-        batcher = self._make_batcher()
-        lane_models: list[Any] = []
-        for lane_id in range(lanes):
-            if batcher is not None:
-                lane_models.append(
-                    batcher.open_lane(lane_id, lane_clocks[lane_id])
-                )
-            else:
-                lane_models.append(base.model)
+        engine = self._make_batcher()
+        lane_models: list[Any] = [
+            engine.open_lane(lane_id, lane_clocks[lane_id])
+            if engine is not None
+            else base.model
+            for lane_id in range(lanes)
+        ]
 
         results: list[Any] = [None] * len(items)
         errors: list[tuple[int, Exception]] = []
         errors_lock = threading.Lock()
         stop = threading.Event()
-
-        configurable = batcher is not None and hasattr(batcher, "configure_lane")
 
         def lane_worker(lane_id: int) -> None:
             # Everything — including this setup — runs under the finally
@@ -319,8 +285,8 @@ class ParallelBatchRunner:
                     if stop.is_set():
                         break
                     item = items[index]
-                    if configurable:
-                        batcher.configure_lane(
+                    if engine is not None:
+                        engine.configure_lane(
                             lane_id,
                             priority=_per_item(self.options.priority, item),
                             deadline_s=_per_item(self.options.deadline_s, item),
@@ -355,8 +321,8 @@ class ParallelBatchRunner:
             finally:
                 # Always shrink the admission set, or peers would wait
                 # forever on this lane's next call.
-                if batcher is not None:
-                    batcher.close_lane(lane_id)
+                if engine is not None:
+                    engine.close_lane(lane_id)
 
         threads = [
             threading.Thread(
@@ -381,10 +347,10 @@ class ParallelBatchRunner:
         )
 
         self._fold_lane_events(lane_logs, lane_clocks, clock_group)
-        if batcher is not None and hasattr(batcher, "steps"):
+        if engine is not None:
             from repro.runtime.scheduler import fold_sched_events
 
-            fold_sched_events(self.base_state.events, batcher)
+            fold_sched_events(self.base_state.events, engine)
         # Later sequential work continues after the batch completed.
         base.clock.advance_to(clock_group.now)
         self._observe(batch, clock_group)
@@ -407,21 +373,18 @@ class ParallelBatchRunner:
                     after["saved_seconds"] - cache_before["saved_seconds"]
                 ),
             )
-        if batcher is not None:
-            stats = batcher.snapshot()
+        if engine is not None:
+            stats = engine.snapshot()
             extra.update(
                 gen_batches=int(stats["flushes"]),
                 batched_calls=int(stats["batched_calls"]),
                 largest_batch=int(stats["largest_batch"]),
                 mean_batch_size=stats["mean_batch_size"],
+                sched_steps=int(stats["steps"]),
+                sched_preemptions=int(stats["preemptions"]),
+                sched_forced=int(stats["forced"]),
+                sched_mean_wait=stats["mean_wait"],
             )
-            if "preemptions" in stats:
-                extra.update(
-                    sched_steps=int(stats["steps"]),
-                    sched_preemptions=int(stats["preemptions"]),
-                    sched_forced=int(stats["forced"]),
-                    sched_mean_wait=stats["mean_wait"],
-                )
         emit_batch_event(
             base, batch, mode="parallel", runner="ParallelBatchRunner",
             extra=extra,
@@ -430,49 +393,21 @@ class ParallelBatchRunner:
 
     # -- helpers --------------------------------------------------------------
 
-    def _make_batcher(self) -> "Any | None":
+    def _make_batcher(self) -> "GenScheduler | None":
         """A fresh generation engine per run (lane registration is per-run).
 
-        ``options.scheduler`` picks the engine: the continuous
-        :class:`~repro.runtime.scheduler.GenScheduler` by default (or
-        with an explicit :class:`SchedulerConfig`), the legacy
-        full-barrier :class:`~repro.llm.batcher.GenMicroBatcher` when
-        ``scheduler=False``.
+        Always the continuous
+        :class:`~repro.runtime.scheduler.GenScheduler`, configured by
+        ``options.scheduler``; None when the base state has no model.
         """
-        if self.base_state.model is None:
-            self.last_batcher = None
-            return None
-        selection = self.options.scheduler
-        if selection is False:
-            from repro.llm.batcher import GenMicroBatcher
+        engine = None
+        if self.base_state.model is not None:
+            from repro.runtime.scheduler import GenScheduler
 
-            engine: Any = GenMicroBatcher(
-                self.base_state.model,
-                # max_batch=1 gives every call its own engine step: lanes
-                # still overlap, but nothing is coalesced.
-                max_batch=self.max_batch if self.microbatch else 1,
-                metrics=self.metrics,
-            )
-        else:
-            from repro.runtime.scheduler import GenScheduler, SchedulerConfig
-
-            if isinstance(selection, SchedulerConfig):
-                config = selection
-            elif selection is None or selection is True:
-                config = SchedulerConfig(max_batch=self.max_batch)
-            else:
-                raise TypeError(
-                    "options.scheduler must be a SchedulerConfig, bool, "
-                    f"or None: {selection!r}"
-                )
-            if not self.microbatch:
-                config = SchedulerConfig(
-                    max_batch_tokens=config.max_batch_tokens,
-                    watermark_s=config.watermark_s,
-                    max_batch=1,
-                )
             engine = GenScheduler(
-                self.base_state.model, config=config, metrics=self.metrics
+                self.base_state.model,
+                config=self.scheduler_config,
+                metrics=self.metrics,
             )
         self.last_batcher = engine
         return engine

@@ -1,24 +1,21 @@
 """Event-driven continuous-batching GEN engine (paper §6).
 
-:class:`GenScheduler` replaces the full-barrier discipline of
-:class:`~repro.llm.batcher.GenMicroBatcher`: operators submit generation
-work to a queue, and batches form on **token-budget and virtual-clock
-timeout watermarks** instead of lane barriers.  Lanes are lightweight
-registrations multiplexed over the caller's worker pool — a lane costs a
-dict entry, not a dedicated engine thread; whichever worker completes an
-admission watermark runs the engine step inline.
+:class:`GenScheduler` is the runtime's one generation engine: operators
+submit generation work to a queue, and batches form on **token-budget
+and virtual-clock timeout watermarks** instead of lane barriers.  Lanes
+are lightweight registrations multiplexed over the caller's worker pool
+— a lane costs a dict entry, not a dedicated engine thread; whichever
+worker completes an admission watermark runs the engine step inline.
 
 Scheduling model
 ----------------
 
-Lanes register with :meth:`open_lane` and submit calls through the same
-:class:`~repro.llm.batcher.LaneModel` proxy the barrier batcher hands
-out.  Admission decisions happen only at **quiescence** — the instant
-every open lane is either blocked on a pending call or closed.  This is
-the determinism generalization of the old barrier: the engine never
-consults host timing, so which requests are considered together is a
-pure function of each lane's submit/close sequence, i.e. of the
-workload.  Within a quiescence the engine forms *one* policy step:
+Lanes register with :meth:`open_lane` and submit calls through the
+:class:`LaneModel` proxy it returns.  Admission decisions happen only at
+**quiescence** — the instant every open lane is either blocked on a
+pending call or closed.  The engine never consults host timing, so
+which requests are considered together is a pure function of each
+lane's submit/close sequence, i.e. of the workload.  Within a quiescence the engine forms *one* policy step:
 
 1. requests older than the **timeout watermark** (virtual-clock age
    ``t_now - arrival >= watermark_s``, where ``t_now`` is the latest
@@ -50,33 +47,24 @@ Requests left out of a step stay queued and mix with the batch formed at
 the next quiescence — genuine continuous flow on virtual time.  Steps
 are priced by :func:`~repro.llm.latency.estimate_continuous_step`:
 prefill occupies a serial pipe in admission order, decode overlaps
-fully, and each lane's clock advances to its *own* completion — unlike
-the barrier model, lanes desynchronize and nobody waits for the slowest
-peer's decode.
+fully, and each lane's clock advances to its *own* completion — lanes
+desynchronize and nobody waits for the slowest peer's decode.
 
 Determinism: task outputs come from the model's deterministic
 ``execute_task`` path, fault injection reuses the same seeded per-prompt
-decisions as the barrier engine (via
-:func:`~repro.llm.batcher.prepare_request`), and step composition
-depends only on pending-set state and virtual-clock instants — never on
-OS thread timing.  Per-item outputs are byte-identical to a sequential
+decisions as a sequential run (via :func:`prepare_request`), and step
+composition depends only on pending-set state and virtual-clock
+instants — never on OS thread timing.  Per-item outputs are byte-identical to a sequential
 run; two same-seed runs produce identical step traces.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
-from repro.llm.batcher import (
-    MICROBATCH_SIZE_BUCKETS,
-    LaneModel,
-    _Request,
-    execute_requests,
-    prepare_request,
-)
 from repro.llm.latency import estimate_continuous_step
 from repro.llm.radix_cache import shared_prefix_tokens
 from repro.runtime.clock import VirtualClock
@@ -86,6 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "LaneModel",
+    "MICROBATCH_SIZE_BUCKETS",
+    "prepare_request",
+    "execute_requests",
     "PriorityClass",
     "SchedulerConfig",
     "StepRecord",
@@ -94,6 +86,148 @@ __all__ = [
     "resolve_priority_class",
     "fold_sched_events",
 ]
+
+
+#: histogram buckets for micro-batch sizes (requests per flush).
+MICROBATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+class _Request:
+    """One pending generation call of one lane."""
+
+    __slots__ = (
+        "lane_id", "prompt", "max_tokens", "use_cache", "clock",
+        "result", "error", "done",
+        "arrival", "priority_rank", "priority_name", "deadline",
+        "tokens", "features", "decision", "prepared",
+    )
+
+    def __init__(
+        self,
+        lane_id: int,
+        prompt: str,
+        max_tokens: int | None,
+        use_cache: bool | None,
+        clock: VirtualClock,
+    ) -> None:
+        self.lane_id = lane_id
+        self.prompt = prompt
+        self.max_tokens = max_tokens
+        self.use_cache = use_cache
+        self.clock = clock
+        self.result: "GenerationResult | None" = None
+        self.error: BaseException | None = None
+        self.done = False
+        self.arrival = 0.0
+        self.priority_rank = 1
+        self.priority_name = "normal"
+        self.deadline: float | None = None
+        self.tokens: list[int] | None = None
+        self.features: Any = None
+        self.decision: Any = None
+        self.prepared = False
+
+
+def prepare_request(model: "SimulatedLLM", request: _Request) -> bool:
+    """Tokenize one request and apply its seeded fault decision.
+
+    This is the front half of an engine step: every request goes through
+    it, so batched runs inject exactly the faults a sequential run would
+    (``fault_plan.decide`` is keyed by prompt, not by arrival order).
+    Returns True when the request survives to execution; on a prepare
+    error or an injected fault the request is completed in place (error
+    or fault charge delivered to its own lane clock) and False is
+    returned.
+    """
+    try:
+        request.tokens, request.features = model.prepare(request.prompt)
+    except Exception as error:  # noqa: BLE001 - delivered to the lane
+        request.error = error
+        request.done = True
+        return False
+    request.decision = (
+        model.fault_plan.decide(model.profile.name, request.prompt)
+        if model.fault_plan is not None
+        else None
+    )
+    if request.decision is not None and request.decision.kind is not None:
+        try:
+            model.inject_fault(
+                request.decision, request.prompt, request.tokens,
+                request.features, max_tokens=request.max_tokens,
+                clock=request.clock,
+            )
+        except Exception as error:  # noqa: BLE001 - delivered to the lane
+            request.error = error
+        request.done = True
+        return False
+    request.prepared = True
+    return True
+
+
+def execute_requests(
+    model: "SimulatedLLM", requests: "list[_Request]"
+) -> tuple[list[tuple[int, int, int]], list[tuple[str, int, Any]]]:
+    """Run the deterministic task engine over prepared requests, in order.
+
+    Performs the per-request prefix-cache lookup and task execution —
+    the back half of an engine step.  Returns the
+    ``(prompt_tokens, cached_tokens, output_tokens)`` triples and the
+    ``(text, output_tokens, output)`` results, index-aligned with
+    ``requests``.
+    """
+    triples: list[tuple[int, int, int]] = []
+    outputs: list[tuple[str, int, Any]] = []
+    for request in requests:
+        assert request.tokens is not None
+        caching = (
+            model.enable_prefix_cache
+            if request.use_cache is None
+            else request.use_cache
+        )
+        cached = model.kv_cache.lookup_and_insert(request.tokens) if caching else 0
+        text, output_tokens, output = model.execute_task(
+            request.prompt, request.features, max_tokens=request.max_tokens
+        )
+        triples.append((len(request.tokens), cached, output_tokens))
+        outputs.append((text, output_tokens, output))
+    return triples, outputs
+
+
+class LaneModel:
+    """Per-lane view of the shared model.
+
+    ``generate`` routes through the shared :class:`GenScheduler` and
+    charges the lane's virtual clock; every other attribute (caches,
+    profile, tokenizer, counters) transparently delegates to the wrapped
+    :class:`~repro.llm.model.SimulatedLLM`, so operators and
+    observability code see the shared backend.
+    """
+
+    def __init__(
+        self, engine: "GenScheduler", lane_id: int, clock: VirtualClock
+    ) -> None:
+        self._engine = engine
+        self.lane_id = lane_id
+        self.clock = clock
+
+    def generate(
+        self,
+        prompt: str,
+        *,
+        max_tokens: int | None = None,
+        use_cache: bool | None = None,
+    ) -> "GenerationResult":
+        """Submit one call to the engine; blocks until its step completes."""
+        return self._engine.submit(
+            self.lane_id, prompt, max_tokens=max_tokens, use_cache=use_cache
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._engine.model, name)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LaneModel(lane={self.lane_id}, model={self._engine.model!r})"
 
 
 class PriorityClass(str, Enum):
@@ -231,10 +365,9 @@ class StepRecord:
 class GenScheduler:
     """Continuous-batching GEN engine with priority + deadline policy.
 
-    Drop-in for :class:`~repro.llm.batcher.GenMicroBatcher` on the
-    runner side: same ``open_lane`` / ``close_lane`` / ``submit``
-    contract and a superset of its ``snapshot()`` keys, plus
-    :meth:`configure_lane` for per-item priority and deadline and a
+    Runners drive it through ``open_lane`` / ``close_lane`` / ``submit``
+    (via each lane's :class:`LaneModel`), :meth:`configure_lane` for
+    per-item priority and deadline, and read :meth:`snapshot` and the
     :attr:`steps` trace for observability and determinism checks.
     """
 
@@ -661,8 +794,8 @@ class GenScheduler:
         if self.metrics is None:
             return
         name = self.model.profile.name
-        # The classic engine-step metrics stay populated so dashboards,
-        # reports, and the BATCH payload read the same under either engine.
+        # The spear_microbatch_* engine-step metrics feed dashboards,
+        # reports, and the BATCH payload.
         self.metrics.counter(
             "spear_microbatch_flushes_total",
             "Micro-batches executed.", model=name,
@@ -700,7 +833,7 @@ class GenScheduler:
         return summary
 
     def snapshot(self) -> dict[str, float]:
-        """Point-in-time engine statistics (superset of the batcher's)."""
+        """Point-in-time engine statistics for gauges and reports."""
         with self._cond:
             return {
                 "flushes": self.flushes,

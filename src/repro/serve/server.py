@@ -469,7 +469,6 @@ class SpearServer:
         request = entry.request
         session = entry.session
         queue_wait = time.monotonic() - entry.enqueued_wall
-        started = session.clock.now
         try:
             result = session.execute(request, entry.pipeline, entry.prompts)
         except Exception as error:  # noqa: BLE001 - one request, one verdict
@@ -488,7 +487,7 @@ class SpearServer:
                 request_id=request.request_id or "?",
                 status="ok",
                 result=result,
-                elapsed=session.clock.now - started,
+                elapsed=result.elapsed,
                 queue_wait=queue_wait,
                 report=dict(result.report),
             )

@@ -77,6 +77,34 @@ class TestOperatorLowering:
         with pytest.raises(DslCompileError):
             compile_source('pipeline p { REF[SHUFFLE, "x", key="qa"] }')
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            'REF[APPEND, "x", key="qa", mode="bogus"]',
+            'REF[APPEND, "x", key="qa", mode=3]',
+            'EXPAND["qa", "x", mode="bogus"]',
+            'MERGE["a", "b", strategy="zip"]',
+            'GEN["out", prompt="qa", max_tokens="many"]',
+            'DIFF["a", "b", into=3]',
+            'RET["src", query="x", prompt="y"]',
+            'RETRY[GEN["a", prompt="p"], M["c"] < 0.5, max_retries=-1]',
+        ],
+    )
+    def test_bad_literal_arguments_are_positioned_errors(self, op):
+        with pytest.raises(DslCompileError) as excinfo:
+            compile_source(f"pipeline p {{\n  {op}\n}}")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+    def test_mode_is_case_insensitive(self):
+        from repro.core import RefinementMode
+
+        pipeline = compile_source(
+            'pipeline p { REF[APPEND, "x", key="qa", mode="auto"] '
+            'EXPAND["qa", "y", mode="manual"] }'
+        ).pipeline("p")
+        assert pipeline[0].mode is RefinementMode.AUTO
+        assert pipeline[1].mode is RefinementMode.MANUAL
+
     def test_unknown_operator(self):
         with pytest.raises(DslCompileError) as excinfo:
             compile_source("pipeline p { TELEPORT[\"x\"] }")

@@ -13,6 +13,7 @@ from repro.runtime.batch import BatchRunner
 from repro.runtime.events import EventKind
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.parallel import ParallelBatchRunner
+from repro.runtime.scheduler import SchedulerConfig
 
 PROMPT = (
     "Select the tweet only if its sentiment is negative. "
@@ -99,7 +100,10 @@ class TestParallelBatchRunner:
 
         state, items_par = _build_state(n_items=16)
         runner = ParallelBatchRunner(
-            state, bind=_bind_tweet, workers=8, microbatch=False
+            state,
+            bind=_bind_tweet,
+            workers=8,
+            options=RuntimeOptions(scheduler=SchedulerConfig(max_batch=1)),
         )
         batch = runner.run(_pipeline(), items=items_par)
         assert _texts(batch) == _texts(sequential)

@@ -1,5 +1,6 @@
-"""RuntimeOptions: one config object for all runners, legacy kwargs removed."""
+"""RuntimeOptions: one config object for all runners."""
 
+import inspect
 import warnings
 
 import pytest
@@ -61,15 +62,8 @@ class TestExecutorOptions:
         state = executor.new_state()
         assert state.resilience is resilience
 
-    def test_legacy_kwargs_raise_typeerror_naming_replacement(self):
-        llm, _ = _llm()
-        with pytest.raises(TypeError, match=r"options=RuntimeOptions\(model=\.\.\.\)"):
-            Executor(model=llm)
-
-    def test_options_and_legacy_kwargs_conflict(self):
-        llm, _ = _llm()
-        with pytest.raises(TypeError, match="both"):
-            Executor(options=RuntimeOptions(model=llm), model=llm)
+    def test_options_is_the_only_keyword(self):
+        assert list(inspect.signature(Executor).parameters) == ["options"]
 
 
 class TestParallelRunnerOptions:
@@ -92,24 +86,12 @@ class TestParallelRunnerOptions:
         batch = runner.run(Pipeline([GEN("summary", prompt="map")]), items=items)
         assert not batch.failures()
 
-    def test_legacy_metrics_kwarg_raises_typeerror(self):
-        llm, _ = _llm()
-        state = ExecutionState(model=llm, clock=llm.clock)
-        with pytest.raises(
-            TypeError, match=r"options=RuntimeOptions\(metrics=\.\.\.\)"
-        ):
-            ParallelBatchRunner(state, bind=_bind, metrics=MetricsRegistry())
-
-    def test_options_and_legacy_conflict(self):
-        llm, _ = _llm()
-        state = ExecutionState(model=llm, clock=llm.clock)
-        with pytest.raises(TypeError, match="both"):
-            ParallelBatchRunner(
-                state,
-                bind=_bind,
-                options=RuntimeOptions(),
-                metrics=MetricsRegistry(),
-            )
+    def test_engine_knobs_live_in_options(self):
+        # metrics, max_batch and one-call-per-step all come from options.
+        assert list(inspect.signature(ParallelBatchRunner).parameters) == [
+            "base_state", "bind", "on_error", "workers", "options",
+            "isolate_prompts",
+        ]
 
 
 class TestRefinementLoopOptions:

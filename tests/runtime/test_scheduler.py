@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import GEN, Pipeline
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
-from repro.llm.batcher import GenMicroBatcher
+from repro.errors import ModelError
 from repro.llm.model import SimulatedLLM
 from repro.obs import ObsCollector
 from repro.runtime.batch import BatchRunner
@@ -136,6 +136,60 @@ class TestEngineUnit:
         with pytest.raises(RuntimeError):
             engine.submit(0, "hello")
 
+    def test_prepare_error_delivered_to_caller_only(self):
+        """A request that fails before queueing raises in its caller;
+        nothing stays pending and the lane keeps working."""
+        engine = GenScheduler(self._model())
+        proxy = engine.open_lane(0, VirtualClock())
+        with pytest.raises(ModelError):
+            proxy.generate("")
+        assert engine.snapshot()["pending"] == 0
+        assert proxy.generate("Summarize the tweet.\nTweet:\nrain again").text
+        engine.close_lane(0)
+        assert engine.snapshot()["pending"] == 0
+
+    def test_lane_model_delegates_attributes(self):
+        """Everything but generate on a lane proxy is the shared model's."""
+        model = self._model()
+        engine = GenScheduler(model)
+        proxy = engine.open_lane(0, VirtualClock())
+        assert proxy.profile is model.profile
+        assert proxy.kv_cache is model.kv_cache
+        assert proxy.tokenizer is model.tokenizer
+        engine.close_lane(0)
+
+    def test_max_batch_caps_step_size(self):
+        """Four concurrent lanes under max_batch=2 all complete, and no
+        engine step admits more than two requests."""
+        engine = GenScheduler(
+            self._model(), config=SchedulerConfig(max_batch=2)
+        )
+        lanes = [engine.open_lane(i, VirtualClock()) for i in range(4)]
+        results = [None] * 4
+
+        def worker(i):
+            try:
+                results[i] = lanes[i].generate(
+                    "Summarize the tweet.\nTweet:\nso tired of delays"
+                )
+            finally:
+                engine.close_lane(i)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is not None for result in results)
+        stats = engine.snapshot()
+        assert stats["largest_batch"] <= 2
+        assert stats["batched_calls"] == 4
+        assert all(len(record.members) <= 2 for record in engine.steps)
+
     def test_single_lane_matches_direct_model(self):
         """One lane with a free pipe degenerates to the direct call path:
         same text, same latency, same clock advance."""
@@ -150,6 +204,7 @@ class TestEngineUnit:
         engine.close_lane(0)
 
         assert sched_result.text == direct_result.text
+        assert sched_result.prompt_tokens == direct_result.prompt_tokens
         assert sched_result.latency.total == pytest.approx(
             direct_result.latency.total
         )
@@ -158,30 +213,25 @@ class TestEngineUnit:
     def test_closing_idle_lane_releases_pending_peer(self):
         """Starvation regression: a lane that dies between open_lane and
         its first submit must not leave peers waiting forever."""
-        for make_engine in (
-            lambda model: GenScheduler(model),
-            lambda model: GenMicroBatcher(model),
-        ):
-            model = self._model()
-            engine = make_engine(model)
-            proxy = engine.open_lane(0, VirtualClock())
-            engine.open_lane(1, VirtualClock())
+        engine = GenScheduler(self._model())
+        proxy = engine.open_lane(0, VirtualClock())
+        engine.open_lane(1, VirtualClock())
 
-            outcome = {}
+        outcome = {}
 
-            def worker(proxy=proxy, outcome=outcome):
-                outcome["result"] = proxy.generate(
-                    "Summarize the tweet.\nTweet:\nso tired of delays"
-                )
+        def worker():
+            outcome["result"] = proxy.generate(
+                "Summarize the tweet.\nTweet:\nso tired of delays"
+            )
 
-            thread = threading.Thread(target=worker, daemon=True)
-            thread.start()
-            # Lane 1 "raises before its first submit": all it can do is
-            # close.  That must release lane 0 as a step of one.
-            engine.close_lane(1)
-            thread.join(timeout=10)
-            assert not thread.is_alive(), type(engine).__name__
-            assert outcome["result"].text
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        # Lane 1 "raises before its first submit": all it can do is
+        # close.  That must release lane 0 as a step of one.
+        engine.close_lane(1)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outcome["result"].text
 
     def test_token_budget_splits_steps(self):
         state, items = _build_state(n_items=12)
@@ -270,21 +320,16 @@ class TestRunnerIntegration:
         assert traces[0] == traces[1]
         assert traces[0]  # a real trace, not two empty lists
 
-    def test_legacy_barrier_engine_still_selectable(self):
-        state_seq, items = _build_state(n_items=12)
-        sequential = BatchRunner(state_seq, bind=_bind_tweet).run(
-            _pipeline(), items=items
-        )
-        state, items_par = _build_state(n_items=12)
-        runner = ParallelBatchRunner(
-            state,
-            bind=_bind_tweet,
-            workers=4,
-            options=RuntimeOptions(scheduler=False),
-        )
-        batch = runner.run(_pipeline(), items=items_par)
-        assert isinstance(runner.last_batcher, GenMicroBatcher)
-        assert _texts(batch) == _texts(sequential)
+    def test_scheduler_false_rejected(self):
+        """The parallel runner has one engine; the error names the
+        configuration that runs one request per engine step."""
+        state, _ = _build_state(n_items=2)
+        with pytest.raises(TypeError, match=r"SchedulerConfig\(max_batch=1\)"):
+            ParallelBatchRunner(
+                state,
+                bind=_bind_tweet,
+                options=RuntimeOptions(scheduler=False),
+            )
 
     def test_interactive_waits_less_than_bulk(self):
         """Mixed workload: interactive items admit ahead of bulk, so their
@@ -741,32 +786,6 @@ class TestStarvationRegression:
         assert len(batch.items) == 8
         assert len(batch.failures()) == 4
         assert all(r.ok for r in batch.items if r not in batch.failures())
-
-    def test_legacy_barrier_engine_same_regression(self):
-        state, items = _build_state(n_items=8)
-
-        def bind_or_boom(item_state, tweet):
-            if int(tweet.uid[-1]) % 2 == 1:
-                raise ValueError(f"bad item {tweet.uid}")
-            _bind_tweet(item_state, tweet)
-
-        runner = ParallelBatchRunner(
-            state,
-            bind=bind_or_boom,
-            workers=8,
-            on_error="collect",
-            options=RuntimeOptions(scheduler=False),
-        )
-        outcome = {}
-
-        def run():
-            outcome["batch"] = runner.run(_pipeline(), items=items)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "parallel run deadlocked"
-        assert len(outcome["batch"].failures()) == 4
 
 
 class TestExecutorIntegration:

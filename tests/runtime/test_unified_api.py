@@ -178,13 +178,12 @@ class TestRefinementLoopUnifiedRun:
         state.context.put("tweet", corpus[0].text, producer="test")
         return state
 
-    def test_legacy_positional_state_warns(self):
+    def test_positional_state_rejected(self):
         llm, corpus = _llm()
         loop = self._loop(llm)
         state = self._state(llm, corpus)
-        with pytest.warns(DeprecationWarning, match="run\\(state=...\\)"):
-            report = loop.run(state)
-        assert report.final is not None
+        with pytest.raises(TypeError, match="state="):
+            loop.run(state)
 
     def test_state_keyword_does_not_warn(self):
         llm, corpus = _llm()
@@ -219,12 +218,11 @@ class TestRefinementLoopUnifiedRun:
 
 
 class TestParallelRunnerDeprecations:
-    def test_positional_items_warn(self):
+    def test_positional_items_rejected(self):
         llm, corpus = _llm()
         runner = ParallelBatchRunner(_state(llm), workers=2)
-        with pytest.warns(DeprecationWarning, match="items="):
-            batch = runner.run(_pipeline(), _items(corpus))
-        assert len(batch.items) == len(corpus)
+        with pytest.raises(TypeError):
+            runner.run(_pipeline(), _items(corpus))
 
     def test_default_binder_used_when_bind_omitted(self):
         llm, corpus = _llm()

@@ -10,6 +10,13 @@ class TestFacadeSurface:
         for name in spear.__all__:
             assert getattr(spear, name) is not None, name
 
+    def test_package_root_is_the_facade(self):
+        import repro
+
+        assert repro.__all__ == spear.__all__
+        for name in spear.__all__:
+            assert getattr(repro, name) is getattr(spear, name), name
+
     def test_no_duplicates(self):
         assert len(spear.__all__) == len(set(spear.__all__))
 

@@ -65,11 +65,10 @@ class TestRunCommand:
         assert "execution timeline:" in out
         assert "generate" in out
 
-    def test_run_unknown_pipeline_fails(self, dl_file):
-        from repro.errors import DslCompileError
-
-        with pytest.raises(DslCompileError):
-            main(["run", str(dl_file), "--pipeline", "ghost"])
+    def test_run_unknown_pipeline_fails(self, dl_file, capsys):
+        code = main(["run", str(dl_file), "--pipeline", "ghost"])
+        assert code == 1
+        assert "error: no pipeline named 'ghost'" in capsys.readouterr().err
 
 
 class TestFmtCommand:
@@ -88,6 +87,16 @@ class TestFmtCommand:
         assert "reformatted" in capsys.readouterr().out
         text = dl_file.read_text()
         assert text.startswith("view med_summary(drug)")
+
+    def test_fmt_syntax_error_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "open.spear"
+        bad.write_text("pipeline p {\n", encoding="utf-8")
+        code = main(["fmt", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2, column 1:")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.fixture
@@ -492,6 +501,13 @@ class TestCheckCommand:
         code = main(["check"])
         assert code == 2
         assert "nothing to check" in capsys.readouterr().err
+
+    def test_bad_enum_argument_reported_not_raised(self, capsys):
+        code = main(["check", str(self.FIXTURES / "bad_enum_pipeline.spear")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "bad_enum_pipeline.spear:7:3: SPEAR002" in out
+        assert "mode='bogus' must be one of MANUAL, ASSISTED, AUTO" in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path, capsys):
         bad = tmp_path / "bad.spear"
