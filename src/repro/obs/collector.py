@@ -93,6 +93,7 @@ cardinality stays bounded.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
@@ -121,7 +122,8 @@ class ObsCollector:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.spans = SpanBuilder()
         self._open_starts: dict[str, list[float]] = {}
-        self._subscribed: set[int] = set()
+        #: weak, so a freed log's recycled ``id()`` can never hide a new log.
+        self._subscribed: weakref.WeakSet[EventLog] = weakref.WeakSet()
         self._attached_models: set[int] = set()
         self._attached_result_caches: set[int] = set()
 
@@ -129,15 +131,15 @@ class ObsCollector:
 
     def subscribe_to(self, log: EventLog) -> None:
         """Attach to ``log`` so every future event updates the metrics."""
-        if id(log) in self._subscribed:
+        if log in self._subscribed:
             return
-        self._subscribed.add(id(log))
+        self._subscribed.add(log)
         log.subscribe(self.on_event)
 
     def unsubscribe_from(self, log: EventLog) -> None:
         """Detach from ``log``."""
         if log.unsubscribe(self.on_event):
-            self._subscribed.discard(id(log))
+            self._subscribed.discard(log)
 
     def replay(self, log: EventLog) -> None:
         """Feed an already-recorded log through the collector (offline path)."""

@@ -206,6 +206,15 @@ class EventLog:
         with self._lock:
             return list(self._events)
 
+    def since(self, start: int) -> list[Event]:
+        """Events from index ``start`` on, oldest first.
+
+        Equal to ``all()[start:]`` but copies only the window, so slicing
+        one run out of a long-lived log costs the run, not the log.
+        """
+        with self._lock:
+            return self._events[start:]
+
     def of_kind(self, kind: EventKind) -> list[Event]:
         """Events of one kind, oldest first."""
         return [event for event in self.all() if event.kind is kind]

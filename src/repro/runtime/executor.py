@@ -285,7 +285,7 @@ class Executor:
             return RunResult(
                 state=final,
                 elapsed=self.clock.now - started_at,
-                events=final.events.all()[event_start:],
+                events=final.events.since(event_start),
                 cache=cache_delta,
             )
 

@@ -168,7 +168,9 @@ class SpearServer:
         #: submit (convenient for traffic drivers; off for strict pools).
         self.auto_tenants = auto_tenants
         #: the server's own event log: SERVE outcomes only, never tenant
-        #: pipeline events (those live on the sessions' logs/ledgers).
+        #: pipeline events (those live on each request's result and in the
+        #: tenant's ledger runs).  It keeps every outcome for the server's
+        #: lifetime.
         self.events = EventLog()
         if collector is not None:
             collector.subscribe_to(self.events)

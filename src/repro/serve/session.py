@@ -167,43 +167,54 @@ class TenantSession:
         protocol.  The whole request is one ledger run under the
         tenant's ledger root (manifest keyed by tenant and request id);
         the executor's inner per-run scope is reentrant and defers.
+
+        The session's event log holds only the in-flight request: once
+        the request ends (ok or raised) its events are dropped from the
+        log, so a long-lived tenant's memory and per-request cost stay
+        flat.  They remain on ``RunResult.events``, in the ledger run,
+        and with every live subscriber (collector, result cache).
         """
         from repro.obs.ledger import describe_pipeline, ledger_scope
 
         with self.lock:
-            self._ensure_prompts(prompts)
-            state = self.state.fork()
-            if request.context:
-                for key, value in request.context.items():
-                    state.context.put(str(key), value, producer="serve")
-            priority = (
-                request.priority
-                if request.priority is not None
-                else self.config.priority
-            )
-            deadline_s = (
-                request.deadline_s
-                if request.deadline_s is not None
-                else self.config.deadline_s
-            )
-            manifest = {
-                "runner": "SpearServer",
-                "tenant": self.config.name,
-                "request_id": request.request_id,
-                "pipeline": describe_pipeline(pipeline),
-            }
-            with ledger_scope(
-                self.executor.options, state, manifest=manifest
-            ):
-                result = self.executor.run(
-                    pipeline,
-                    items=request.items,
-                    state=state,
-                    priority=priority,
-                    deadline_s=deadline_s,
+            try:
+                self._ensure_prompts(prompts)
+                state = self.state.fork()
+                if request.context:
+                    for key, value in request.context.items():
+                        state.context.put(str(key), value, producer="serve")
+                priority = (
+                    request.priority
+                    if request.priority is not None
+                    else self.config.priority
                 )
-            self.completed += 1
-            return result
+                deadline_s = (
+                    request.deadline_s
+                    if request.deadline_s is not None
+                    else self.config.deadline_s
+                )
+                manifest = {
+                    "runner": "SpearServer",
+                    "tenant": self.config.name,
+                    "request_id": request.request_id,
+                    "pipeline": describe_pipeline(pipeline),
+                }
+                with ledger_scope(
+                    self.executor.options, state, manifest=manifest
+                ):
+                    result = self.executor.run(
+                        pipeline,
+                        items=request.items,
+                        state=state,
+                        priority=priority,
+                        deadline_s=deadline_s,
+                    )
+                self.completed += 1
+                return result
+            finally:
+                # clear() keeps ``seq`` and the subscribers, so sequence
+                # numbers stay unique per session.
+                self.state.events.clear()
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time session accounting (admission + runtime)."""

@@ -1,9 +1,11 @@
 """Tests for the live collector, the run report, and the offline path."""
 
-from repro.core import CHECK, Condition, GEN, REF, RefAction
+from repro.core import CHECK, Condition, GEN, REF, Pipeline, RefAction
 from repro.obs import ObsCollector, build_report, build_run_report, operator_kind
 from repro.obs.report import Pricing
 from repro.runtime.events import EventKind, EventLog
+from repro.runtime.executor import Executor
+from repro.runtime.options import RuntimeOptions
 from repro.runtime.tracing import export_events, import_events
 
 
@@ -78,6 +80,25 @@ class TestLiveCollection:
         _run_pipeline(state, tweet_corpus)
         # One listener registered → model-layer calls counted once.
         assert collector.registry.sum_counter("spear_model_gen_calls_total") == 2
+
+
+    def test_every_fresh_state_is_counted(self, llm):
+        # Each freed state's log frees its id(); a later log can reuse it
+        # and must still be subscribed, or its events go uncounted.
+        collector = ObsCollector()
+        executor = Executor(
+            options=RuntimeOptions(model=llm, clock=llm.clock, collector=collector)
+        )
+        pipeline = Pipeline([GEN("answer", prompt="qa")])
+        for _ in range(200):
+            state = executor.new_state()
+            state.prompts.create("qa", "Say hello.")
+            executor.run(pipeline, state=state)
+            del state
+        invocations = collector.registry.get(
+            "spear_operator_invocations_total", operator="GEN"
+        )
+        assert invocations.value == 200
 
 
 class TestRunReport:

@@ -90,6 +90,17 @@ class TestEventLog:
         log.emit(EventKind.CHECK, "B")
         assert len(received) == 2
 
+    def test_since_equals_slice_of_all(self):
+        log = EventLog()
+        for index in range(5):
+            log.emit(EventKind.CHECK, f"op{index}")
+        for start in range(7):
+            assert log.since(start) == log.all()[start:]
+        log.clear()
+        log.emit(EventKind.CHECK, "after_clear")
+        assert log.since(0) == log.all()
+        assert log.since(0)[0].seq == 5  # clear() keeps the counter
+
     def test_unsubscribe_stops_delivery(self):
         log = EventLog()
         received = []

@@ -263,6 +263,28 @@ class TestSubscriptionGuard:
         assert cache.invalidations == 1
 
 
+    def test_late_state_refinement_invalidates(self):
+        # One cache outlives many short-lived states.  A freed log's id()
+        # is reused by later logs, which must still get a listener.
+        llm = SimulatedLLM("qwen2.5-7b-instruct", enable_prefix_cache=False)
+        corpus = make_tweet_corpus(4, seed=7)
+        llm.bind_tweets(corpus)
+        cache = ResultCache()
+        executor = Executor(
+            options=RuntimeOptions(model=llm, clock=llm.clock, result_cache=cache)
+        )
+        pipeline = Pipeline([GEN("verdict", prompt="filter_p")])
+        states = 100
+        for _ in range(states):
+            state = executor.new_state(context={"tweet": corpus[0].text})
+            state.prompts.create("filter_p", FILTER_PROMPT)
+            executor.run(pipeline, state=state)
+            REF(RefAction.APPEND, "Focus.", key="filter_p").apply(state)
+            assert len(cache) == 0
+            del state
+        assert cache.invalidations == states
+
+
 class TestCacheMechanics:
     def test_lru_eviction_at_capacity(self):
         state = _build_state()
