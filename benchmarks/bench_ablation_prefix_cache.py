@@ -12,8 +12,8 @@ import pytest
 
 from repro.data.tweets import make_tweet_corpus
 from repro.experiments.common import build_views, compose_item_prompt
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.model import SimulatedLLM
+from repro.llm.radix_cache import RadixPrefixCache
 
 N_ITEMS = 150
 _corpus = make_tweet_corpus(N_ITEMS, seed=7)
@@ -51,7 +51,7 @@ def test_prefix_cache_disabled(once):
 @pytest.mark.parametrize("block_size", [4, 16, 64])
 def test_block_size_sweep(once, block_size):
     """Smaller blocks waste less of the shared prefix to quantization."""
-    llm = SimulatedLLM(kv_cache=BlockPrefixCache(block_size=block_size))
+    llm = SimulatedLLM(kv_cache=RadixPrefixCache(block_size=block_size))
     __, hit_rate = once(_run_filter_stage, llm)
     assert hit_rate > 0.5
     print(f"block_size={block_size}: hit rate {hit_rate:.1%}")
@@ -63,7 +63,7 @@ def test_block_size_monotonicity(once):
     def sweep():
         rates = []
         for block_size in (4, 16, 64):
-            llm = SimulatedLLM(kv_cache=BlockPrefixCache(block_size=block_size))
+            llm = SimulatedLLM(kv_cache=RadixPrefixCache(block_size=block_size))
             __, hit_rate = _run_filter_stage(llm)
             rates.append(hit_rate)
         return rates

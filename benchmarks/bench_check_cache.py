@@ -13,7 +13,8 @@ cold (graph build + every analyzer), then re-checks it through the
   on a :class:`~repro.serve.server.SpearServer` with strict-by-default
   validation and no warnings.
 
-Writes ``BENCH_check_cache.json`` at the repo root (or ``--output``).
+Writes ``BENCH_check_cache.json`` at the repo root
+(``BENCH_check_cache.tiny.json`` with ``--tiny``; or ``--output``).
 
 Usage::
 
@@ -130,7 +131,9 @@ def main() -> int:
         "results_identical": identical,
         "serve_registration_warnings": serve_warnings,
     }
-    output = args.output or (REPO_ROOT / "BENCH_check_cache.json")
+    output = args.output or REPO_ROOT / (
+        "BENCH_check_cache.tiny.json" if args.tiny else "BENCH_check_cache.json"
+    )
     output.write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
 

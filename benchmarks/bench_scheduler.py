@@ -21,7 +21,8 @@ Four additional arms exercise the policy surface:
 - byte-identity everywhere: every scheduled arm's outputs are compared
   against the sequential baseline and must match exactly.
 
-Writes ``BENCH_scheduler.json`` at the repo root (or ``--output``) and
+Writes ``BENCH_scheduler.json`` at the repo root
+(``BENCH_scheduler.tiny.json`` with ``--tiny``; or ``--output``) and
 exits non-zero when the speedup at the widest configuration falls below
 ``--min-speedup`` (CI gates at 3.0 at 16 workers).
 
@@ -271,9 +272,14 @@ def main(argv: list[str] | None = None) -> int:
         help="fail when speedup at the widest worker count is below this",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_scheduler.json"
+        "--output", type=Path, default=None,
+        help="result file (default BENCH_scheduler.json at the repo root, "
+        "BENCH_scheduler.tiny.json with --tiny)",
     )
     args = parser.parse_args(argv)
+    output = args.output or REPO_ROOT / (
+        "BENCH_scheduler.tiny.json" if args.tiny else "BENCH_scheduler.json"
+    )
 
     n_items = 48 if args.tiny else args.items
     result = run_benchmark(n_items, args.seed)
@@ -285,8 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     result["min_speedup"] = args.min_speedup
     result["ok"] = speedup >= args.min_speedup
 
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {output}")
     print(
         f"sequential: {result['sequential']['sim_elapsed_s']:.2f}s simulated, "
         f"{result['sequential']['items_per_sim_s']:.3f} items/s"

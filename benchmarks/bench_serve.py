@@ -15,8 +15,8 @@ deterministic synthetic traffic driver over the Table-3 tweet workload
   against a standalone executor run of the same pipeline with ``spear
   diff --gate``: exit 0 proves serving adds zero behavioral drift.
 
-Writes ``BENCH_serve.json`` at the repo root (or ``--output``) and exits
-non-zero when any gate fails: nominal sheds, wrong overload shed count,
+Writes ``BENCH_serve.json`` at the repo root (``BENCH_serve.tiny.json``
+with ``--tiny``; or ``--output``) and exits non-zero when any gate fails: nominal sheds, wrong overload shed count,
 non-finite p99, or a failed identity diff.
 
 Usage::
@@ -156,9 +156,14 @@ def main(argv: list[str] | None = None) -> int:
         help="CI smoke scale: 6 tenants, queue limit 3, 4 workers",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_serve.json"
+        "--output", type=Path, default=None,
+        help="result file (default BENCH_serve.json at the repo root, "
+        "BENCH_serve.tiny.json with --tiny)",
     )
     args = parser.parse_args(argv)
+    output = args.output or REPO_ROOT / (
+        "BENCH_serve.tiny.json" if args.tiny else "BENCH_serve.json"
+    )
     if args.tiny:
         args.tenants, args.queue_limit, args.workers = 6, 3, 4
         args.corpus = 16
@@ -196,10 +201,10 @@ def main(argv: list[str] | None = None) -> int:
         "identity": identity,
         "gates": gates,
     }
-    args.output.write_text(
+    output.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"wrote {args.output}")
+    print(f"wrote {output}")
     print(
         f"nominal: {nominal['served']}/{nominal['submitted']} served, "
         f"p50 {nominal['latency_p50_s']}s p99 {nominal['latency_p99_s']}s, "

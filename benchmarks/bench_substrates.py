@@ -1,7 +1,7 @@
 """Microbenchmarks of the substrates (real wall-clock, multiple rounds).
 
 These measure actual Python throughput of the pieces everything else sits
-on: the tokenizer, the block prefix cache, BM25 retrieval, view expansion,
+on: the tokenizer, the radix prefix cache, BM25 retrieval, view expansion,
 and SPEAR-DL parsing/compilation.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.views import ViewRegistry
 from repro.data.clinical import make_clinical_corpus
 from repro.dl import compile_source
-from repro.llm.kv_cache import BlockPrefixCache
+from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.tokenizer import Tokenizer
 from repro.retrieval import InvertedIndex, corpus_documents
 
@@ -46,7 +46,7 @@ def test_tokenizer_encode(benchmark):
 def test_kv_cache_lookup_insert(benchmark):
     tokenizer = Tokenizer()
     tokens = tokenizer.encode(_LONG_TEXT)
-    cache = BlockPrefixCache()
+    cache = RadixPrefixCache()
     cache.insert(tokens)
 
     def probe():

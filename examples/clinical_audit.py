@@ -21,12 +21,14 @@ from repro import (
     REF,
     RefAction,
     SimulatedLLM,
+    build_run_report,
 )
 from repro.data import make_clinical_corpus
 from repro.eval.metrics import field_completeness
 from repro.runtime.batch import BatchRunner
 from repro.runtime.persistence import load_store, save_store
-from repro.runtime.tracing import render_timeline, summarize_run
+from repro.obs import build_span_tree, iter_spans
+from repro.runtime.tracing import render_timeline
 
 QA_PROMPT = (
     "### Task\n"
@@ -106,22 +108,22 @@ def main() -> None:
         print(f"prompt store persisted to JSON and reloaded "
               f"({path.stat().st_size} bytes), texts identical\n")
 
-    # Introspection: the run summary and the tail of the timeline.
-    summary = summarize_run(base_state.events)
-    operators = summary.pop("operators", {})
-    for kind, stats in sorted(summary.items()):
-        line = f"  {kind}: {int(stats['count'])} events"
-        if stats["latency"]:
-            line += f", {stats['latency']:.1f}s generation latency"
-        print(line)
-    slowest = sorted(
-        operators.items(), key=lambda item: -item[1]["wall_time"]
-    )[:3]
-    for label, stats in slowest:
-        print(
-            f"  {label}: {int(stats['count'])} applications, "
-            f"{stats['wall_time']:.1f}s wall"
-        )
+    # Introspection: the run report, the slowest operators and the tail
+    # of the timeline.
+    report = build_run_report(base_state.events)
+    for kind, stats in report.operators.items():
+        print(f"  {kind}: {stats['invocations']} applications, "
+              f"{stats['wall_seconds']['total']:.1f}s wall")
+    for prompt, stats in report.generation.items():
+        print(f"  prompt {prompt!r}: {stats['calls']} generations, "
+              f"{stats['latency_seconds']['total']:.1f}s generation latency")
+    walls: dict[str, tuple[int, float]] = {}
+    for span in iter_spans(build_span_tree(base_state.events)):
+        count, wall = walls.get(span.operator, (0, 0.0))
+        walls[span.operator] = (count + 1, wall + span.wall)
+    slowest = sorted(walls.items(), key=lambda item: -item[1][1])[:3]
+    for label, (count, wall) in slowest:
+        print(f"  {label}: {count} applications, {wall:.1f}s wall")
     print("\nlast item's timeline:")
     tail = render_timeline(base_state.events).splitlines()[-6:]
     print("\n".join(tail))

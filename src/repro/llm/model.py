@@ -4,7 +4,7 @@
 interface the SPEAR runtime consumes:
 
 - tokenizes the prompt and consults the radix prefix cache (SGLang
-  RadixAttention-style; the legacy vLLM hash-chain tier is pluggable);
+  RadixAttention-style);
 - routes and executes the task via :class:`~repro.llm.tasks.TaskEngine`;
 - charges modelled latency to a virtual clock;
 - returns a :class:`GenerationResult` carrying text, token accounting,
@@ -21,11 +21,9 @@ from typing import Any, Callable
 
 from repro.errors import ModelError, TokenBudgetExceededError
 from repro.llm.features import PromptFeatures, extract_features
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.profiles import DEFAULT_PROFILE, ModelProfile, get_profile
-from repro.llm.prompt_cache import StructuredPromptCache
 from repro.llm.tasks import TaskEngine, TaskOutput
 from repro.llm.tokenizer import Tokenizer
 from repro.runtime.clock import VirtualClock
@@ -62,8 +60,7 @@ class SimulatedLLM:
         profile: str | ModelProfile = DEFAULT_PROFILE,
         *,
         clock: VirtualClock | None = None,
-        kv_cache: "RadixPrefixCache | BlockPrefixCache | None" = None,
-        prompt_cache: StructuredPromptCache | None = None,
+        kv_cache: RadixPrefixCache | None = None,
         enable_prefix_cache: bool = True,
         fault_plan: Any = None,
     ) -> None:
@@ -76,13 +73,9 @@ class SimulatedLLM:
         #: means every call succeeds, exactly as before.
         self.fault_plan = fault_plan
         self.tokenizer = Tokenizer()
-        # Radix-tree prefix index by default (SGLang RadixAttention
-        # structure); pass a BlockPrefixCache explicitly for the legacy
-        # vLLM hash-chain behaviour (the two are accounting-compatible).
+        # Radix-tree prefix index (SGLang RadixAttention structure); pass
+        # one in to share or partition it (serve tenants, tests).
         self.kv_cache = kv_cache if kv_cache is not None else RadixPrefixCache()
-        self.prompt_cache = (
-            prompt_cache if prompt_cache is not None else StructuredPromptCache()
-        )
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)
         # aggregate accounting across all calls; guarded by ``_lock`` so
@@ -387,7 +380,6 @@ class SimulatedLLM:
                 "total_output_tokens": self.total_output_tokens,
                 "overall_cache_hit_rate": self.overall_cache_hit_rate,
                 "kv_cache": self.kv_cache.snapshot(),
-                "prompt_cache": self.prompt_cache.snapshot(),
                 "faults": (
                     self.fault_plan.snapshot()
                     if self.fault_plan is not None
@@ -397,7 +389,7 @@ class SimulatedLLM:
             }
 
     def reset_stats(self, *, clear_cache: bool = False) -> None:
-        """Zero the aggregate counters (and optionally drop the caches)."""
+        """Zero the aggregate counters (and optionally drop the KV cache)."""
         with self._lock:
             self.calls = 0
             self.total_latency = 0.0
@@ -406,7 +398,6 @@ class SimulatedLLM:
             self.total_output_tokens = 0
         if clear_cache:
             self.kv_cache.clear()
-            self.prompt_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -63,8 +63,6 @@ spear_model_latency_seconds_total              gauge      model
 spear_kv_cache_blocks                          gauge      model
 spear_kv_cache_hit_rate                        gauge      model
 spear_kv_cache_evictions_total                 gauge      model
-spear_prompt_cache_entries                     gauge      model
-spear_prompt_cache_hit_rate                    gauge      model
 spear_result_cache_hits_total                  counter    operator
 spear_result_cache_saved_seconds_total         counter    operator
 spear_result_cache_entries                     gauge      —
@@ -187,34 +185,21 @@ class ObsCollector:
                 "spear_kv_cache_evictions_total",
                 "Blocks evicted from the prefix cache.", model=label,
             ).set_function(lambda: float(kv.stats.evictions))
-            if hasattr(kv, "pin"):
-                # Radix-tree tier only: structural gauges over the tree.
-                gauges.gauge(
-                    "spear_prefix_cache_nodes",
-                    "Token-block nodes resident in the radix prefix tree.",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["nodes"]))
-                gauges.gauge(
-                    "spear_prefix_cache_leaves",
-                    "Leaf nodes of the radix prefix tree "
-                    "(the eviction frontier).",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["leaves"]))
-                gauges.gauge(
-                    "spear_prefix_cache_pinned_blocks",
-                    "Radix nodes pinned against eviction by the scheduler.",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
-        prompt_cache = getattr(model, "prompt_cache", None)
-        if prompt_cache is not None:
             gauges.gauge(
-                "spear_prompt_cache_entries",
-                "Entries in the structured prompt cache.", model=label,
-            ).set_function(lambda: float(len(prompt_cache)))
+                "spear_prefix_cache_nodes",
+                "Token-block nodes resident in the radix prefix tree.",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["nodes"]))
             gauges.gauge(
-                "spear_prompt_cache_hit_rate",
-                "Structured prompt cache hit rate.", model=label,
-            ).set_function(lambda: prompt_cache.hit_rate)
+                "spear_prefix_cache_leaves",
+                "Leaf nodes of the radix prefix tree (the eviction frontier).",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["leaves"]))
+            gauges.gauge(
+                "spear_prefix_cache_pinned_blocks",
+                "Radix nodes pinned against eviction by the scheduler.",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
         if hasattr(model, "add_listener"):
             model.add_listener(
                 lambda result: self.on_generation(result, model=label)

@@ -356,8 +356,6 @@ def build_report(
         "spear_kv_cache_blocks",
         "spear_kv_cache_hit_rate",
         "spear_kv_cache_evictions_total",
-        "spear_prompt_cache_entries",
-        "spear_prompt_cache_hit_rate",
     ):
         for labels, child in _family_children(registry, gauge_name):
             if isinstance(child, Gauge):

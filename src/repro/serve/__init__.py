@@ -6,11 +6,11 @@ per-tenant runtimes and executes registered pipelines for named tenants
 via typed :class:`ServeRequest` / :class:`ServeResponse` messages.
 
 Isolation is structural.  Each tenant's :class:`TenantSession` owns its
-own virtual clock, simulated model, prompt store, result cache, and a
-private radix/structured-prompt cache partition
-(:class:`~repro.llm.partitions.CachePartitions`) — so cross-tenant KV
-sharing is impossible and one tenant's outputs are byte-identical to a
-standalone run of the same pipeline.  Admission control is bounded
+own virtual clock, simulated model, prompt store, result cache, view
+registry (with its structured prompt cache), and a private radix KV
+cache partition (:class:`~repro.llm.partitions.CachePartitions`) — so
+cross-tenant KV sharing is impossible and one tenant's outputs are
+byte-identical to a standalone run of the same pipeline.  Admission control is bounded
 per-tenant queues with breaker-style load shedding
 (:class:`~repro.resilience.ShedPolicy` →
 :class:`~repro.errors.RateLimitError`); under overload the server sheds

@@ -94,7 +94,6 @@ class TenantSession:
             config.profile or profile,
             clock=clock,
             kv_cache=partition.kv_cache,
-            prompt_cache=partition.prompt_cache,
             enable_prefix_cache=config.enable_prefix_cache,
         )
         if binder is not None:

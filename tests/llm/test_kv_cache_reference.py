@@ -1,16 +1,17 @@
-"""Differential test: BlockPrefixCache vs a naive reference model.
+"""Differential test: RadixPrefixCache vs a naive reference model.
 
 The reference stores every block-aligned prefix it has seen as a tuple in
 a set; the longest cached prefix of a probe is then computed by direct
-comparison.  Under arbitrary interleavings of insert/match (without
-eviction), the production cache must agree exactly with the reference —
-this is the strongest correctness statement about the hash-chain scheme.
+comparison — vLLM's hash-chain rule (a block is reusable only when its
+whole prefix matched) stated as plainly as possible.  Under arbitrary
+interleavings of insert/match (without eviction), the production cache
+must agree exactly with the reference.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.kv_cache import BlockPrefixCache
+from repro.llm.radix_cache import RadixPrefixCache
 
 BLOCK = 4
 
@@ -39,6 +40,11 @@ class ReferencePrefixCache:
                 break
         return matched
 
+    def lookup_and_insert(self, tokens: list[int]) -> int:
+        cached = self.match_prefix(tokens)
+        self.insert(tokens)
+        return cached
+
 
 # Small token alphabet maximizes shared prefixes between sequences.
 _sequences = st.lists(
@@ -51,11 +57,15 @@ _operations = st.lists(
 )
 
 
+def _production() -> RadixPrefixCache:
+    return RadixPrefixCache(block_size=BLOCK, capacity_blocks=10**6)
+
+
 class TestAgainstReference:
     @settings(max_examples=120)
     @given(_operations)
     def test_interleaved_operations_agree(self, operations):
-        production = BlockPrefixCache(block_size=BLOCK, capacity_blocks=10**6)
+        production = _production()
         reference = ReferencePrefixCache(block_size=BLOCK)
         for op, tokens in operations:
             if op == "insert":
@@ -70,10 +80,27 @@ class TestAgainstReference:
     @given(_sequences, _sequences)
     def test_cross_contamination_impossible(self, tokens_a, tokens_b):
         # Matching B after inserting only A must agree with the reference —
-        # in particular, hash-chaining must not credit B for A's blocks
-        # unless B genuinely shares A's block-aligned prefix.
-        production = BlockPrefixCache(block_size=BLOCK, capacity_blocks=10**6)
+        # in particular, B must not be credited for A's blocks unless B
+        # genuinely shares A's block-aligned prefix.
+        production = _production()
         reference = ReferencePrefixCache(block_size=BLOCK)
         production.insert(tokens_a)
         reference.insert(tokens_a)
         assert production.match_prefix(tokens_b) == reference.match_prefix(tokens_b)
+
+    @settings(max_examples=80)
+    @given(st.lists(_sequences, max_size=12))
+    def test_lookup_and_insert_accounting_agrees(self, workload):
+        # The model's per-request path: call for call the served tokens
+        # equal the reference's, so the summed ``cached_tokens`` (Table 3's
+        # "Cache Hit (%)" numerator) does too.
+        production = _production()
+        reference = ReferencePrefixCache(block_size=BLOCK)
+        expected = 0
+        for tokens in workload:
+            served = reference.lookup_and_insert(tokens)
+            assert production.lookup_and_insert(tokens) == served
+            expected += served
+        assert production.stats.cached_tokens == expected
+        assert production.stats.prompt_tokens == sum(map(len, workload))
+        assert production.stats.evictions == 0

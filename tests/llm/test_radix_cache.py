@@ -1,9 +1,9 @@
-"""Tests for the radix-tree prefix cache and its chain-cache parity.
+"""Tests for the radix-tree prefix cache.
 
-Covers the drop-in contract (same semantics as ``BlockPrefixCache`` on
-the no-eviction path), the structural fix (leaf-first eviction cannot
-strand orphaned descendants), pinning, and property-based parity:
-call-for-call the radix cache serves at least the chain cache's tokens.
+Covers the lookup/insert contract, leaf-first eviction (every resident
+block stays reachable), pinning, and accounting properties.  Exact
+agreement with a naive reference model on the no-eviction path lives in
+``test_kv_cache_reference.py``.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.radix_cache import RadixPrefixCache, shared_prefix_tokens
 
 tokens_strategy = st.lists(
@@ -45,7 +44,7 @@ class TestSharedPrefixTokens:
 
 
 class TestRadixContract:
-    """The BlockPrefixCache behaviours, verbatim, on the radix tier."""
+    """Lookup, insert and accounting semantics."""
 
     def test_cold_lookup_misses(self):
         cache = RadixPrefixCache(block_size=4)
@@ -63,6 +62,12 @@ class TestRadixContract:
         cache.insert(list(range(12)))
         probe = list(range(8)) + [99, 98, 97, 96]
         assert cache.match_prefix(probe) == 8
+
+    def test_divergence_at_start_means_no_hit(self):
+        cache = RadixPrefixCache(block_size=4)
+        cache.insert(list(range(12)))
+        probe = [99] + list(range(1, 12))
+        assert cache.match_prefix(probe) == 0
 
     def test_no_mid_sequence_reuse(self):
         cache = RadixPrefixCache(block_size=4)
@@ -107,17 +112,24 @@ class TestRadixContract:
         assert cache.stats.lookups == 0
         assert cache.snapshot()["pinned_blocks"] == 0
 
-    def test_snapshot_superset_of_chain_keys(self):
-        chain = BlockPrefixCache(block_size=4)
+    def test_snapshot_keys(self):
         radix = RadixPrefixCache(block_size=4)
-        chain.lookup_and_insert(list(range(8)))
         radix.lookup_and_insert(list(range(8)))
-        chain_snap, radix_snap = chain.snapshot(), radix.snapshot()
-        assert set(chain_snap) <= set(radix_snap)
-        for key in chain_snap:
-            assert radix_snap[key] == chain_snap[key]
-        assert radix_snap["leaves"] == 1
-        assert radix_snap["nodes"] == 2
+        assert radix.snapshot() == {
+            "blocks": 2,
+            "capacity_blocks": radix.capacity_blocks,
+            "block_size": 4,
+            "lookups": 1,
+            "prompt_tokens": 8,
+            "cached_tokens": 0,
+            "block_hits": 0,
+            "block_misses": 1,
+            "evictions": 0,
+            "hit_rate": 0.0,
+            "nodes": 2,
+            "leaves": 1,
+            "pinned_blocks": 0,
+        }
 
 
 class TestEviction:
@@ -139,26 +151,18 @@ class TestEviction:
         assert cache.match_prefix([1, 2, 3, 4]) == 4
         assert cache.match_prefix([5, 6, 7, 8]) == 0
 
-    def test_chain_strands_orphaned_descendants_radix_does_not(self):
-        """Regression for the chain cache's orphaned-descendant waste.
+    def test_leaf_first_eviction_keeps_trunk_reachable(self):
+        """Eviction never strands a resident block behind a missing parent.
 
-        Two 3-block chains at capacity 4: the chain cache evicts the two
-        globally-coldest hashes — chain A's *first two* blocks — which
-        strands A's third block: resident (it still counts against
-        capacity) but unreachable, because a prefix walk stops at the
+        Two 3-block sequences at capacity 4: a flat LRU over blocks would
+        evict A's two coldest blocks — its *first two* — leaving a3
+        resident but unreachable, because a prefix walk stops at the
         first missing block.  The radix tree evicts leaf-first, so every
         resident block stays reachable from the root by construction.
         """
         a = list(range(12))                  # blocks a1 a2 a3
         b = list(range(100, 112))            # blocks b1 b2 b3
         reachable = lambda c: (c.match_prefix(a) + c.match_prefix(b)) // 4
-
-        chain = BlockPrefixCache(block_size=4, capacity_blocks=4)
-        chain.insert(a)
-        chain.insert(b)                      # evicts a1, a2; a3 stranded
-        assert len(chain) == 4               # resident-block accounting...
-        assert chain.match_prefix(a) == 0    # ...but A's trunk is gone
-        assert reachable(chain) == 3         # one resident block is waste
 
         radix = RadixPrefixCache(block_size=4, capacity_blocks=4)
         radix.insert(a)
@@ -250,24 +254,6 @@ class TestRadixProperties:
         first = cache.insert(tokens)
         second = cache.insert(tokens)
         assert second == 0 or first == 0
-
-    @settings(max_examples=80)
-    @given(workload_strategy)
-    def test_radix_serves_at_least_chain_tokens_call_for_call(self, workload):
-        """Same insert history, ample capacity: identical accounting.
-
-        This is the drop-in guarantee behind swapping the model's default
-        cache tier — Table 3's hit-rate column cannot move on the
-        no-eviction path.
-        """
-        chain = BlockPrefixCache(block_size=4)
-        radix = RadixPrefixCache(block_size=4)
-        for tokens in workload:
-            chain_served = chain.lookup_and_insert(tokens)
-            radix_served = radix.lookup_and_insert(tokens)
-            assert radix_served >= chain_served
-            assert radix_served == chain_served  # no eviction => parity
-        assert radix.stats == chain.stats
 
     @settings(max_examples=80)
     @given(workload_strategy)

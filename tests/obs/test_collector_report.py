@@ -109,6 +109,7 @@ class TestRunReport:
 
         assert report.operators["GEN"]["invocations"] == 2
         assert report.operators["GEN"]["wall_seconds"]["count"] == 2
+        assert report.operators["GEN"]["wall_seconds"]["total"] > 0
         assert report.generation["qa"]["calls"] == 2
         assert 0.0 < report.generation["qa"]["cache_hit_ratio"] <= 1.0
         assert report.generation["qa"]["cost_usd"] > 0

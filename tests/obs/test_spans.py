@@ -54,6 +54,19 @@ class TestNestedReconstruction:
         # The sibling CHECK saw no generation.
         assert pipe.children[1].gen_calls == 0
 
+    def test_reentrant_operator_nests(self):
+        # The same label opened twice nests: each END closes the innermost
+        # open span with that label.
+        log = EventLog()
+        log.emit(EventKind.OPERATOR_START, "A", at=0.0)
+        log.emit(EventKind.OPERATOR_START, "A", at=1.0)
+        log.emit(EventKind.OPERATOR_END, "A", at=2.0)
+        log.emit(EventKind.OPERATOR_END, "A", at=4.0)
+        (outer,) = build_span_tree(log)
+        (inner,) = outer.children
+        assert (outer.wall, inner.wall) == (4.0, 1.0)
+        assert outer.complete and inner.complete
+
     def test_depths_follow_nesting(self):
         roots = build_span_tree(_nested_log())
         depths = {span.operator: span.depth for span in iter_spans(roots)}

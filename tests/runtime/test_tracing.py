@@ -1,8 +1,8 @@
-"""Tests for timeline rendering and run summaries."""
+"""Tests for timeline rendering and the JSONL event codec."""
 
 from repro.core import CHECK, Condition, GEN, REF, RefAction
 from repro.runtime.events import EventKind, EventLog
-from repro.runtime.tracing import render_timeline, summarize_run
+from repro.runtime.tracing import render_timeline
 
 
 def _run_small_pipeline(state, tweet_corpus):
@@ -61,67 +61,6 @@ class TestRenderTimeline:
 
     def test_empty_log(self):
         assert render_timeline(EventLog()) == ""
-
-
-class TestSummarizeRun:
-    def test_counts_and_latency(self, state, tweet_corpus):
-        state = _run_small_pipeline(state, tweet_corpus)
-        summary = summarize_run(state.events)
-        assert summary["generate"]["count"] == 2
-        assert summary["check"]["count"] == 1
-        assert summary["refine"]["count"] == 1
-        assert summary["generate"]["latency"] > 0
-
-    def test_lifecycle_not_counted_as_kind(self):
-        log = EventLog()
-        log.emit(EventKind.OPERATOR_START, "A")
-        log.emit(EventKind.OPERATOR_END, "A")
-        summary = summarize_run(log)
-        # Lifecycle events never form per-kind buckets; they are distilled
-        # into the per-operator wall-time rollup instead.
-        assert EventKind.OPERATOR_START.value not in summary
-        assert EventKind.OPERATOR_END.value not in summary
-        assert summary["operators"]["A"]["count"] == 1
-
-    def test_operator_wall_time_from_lifecycle_pairs(self):
-        log = EventLog()
-        log.emit(EventKind.OPERATOR_START, "A", at=1.0)
-        log.emit(EventKind.OPERATOR_START, "B", at=2.0)
-        log.emit(EventKind.OPERATOR_END, "B", at=5.0)
-        log.emit(EventKind.OPERATOR_END, "A", at=6.0)
-        operators = summarize_run(log)["operators"]
-        assert operators["A"] == {"count": 1, "wall_time": 5.0, "unclosed": 0}
-        assert operators["B"] == {"count": 1, "wall_time": 3.0, "unclosed": 0}
-
-    def test_reentrant_operator_accumulates(self):
-        log = EventLog()
-        log.emit(EventKind.OPERATOR_START, "A", at=0.0)
-        log.emit(EventKind.OPERATOR_START, "A", at=1.0)
-        log.emit(EventKind.OPERATOR_END, "A", at=2.0)
-        log.emit(EventKind.OPERATOR_END, "A", at=4.0)
-        operators = summarize_run(log)["operators"]
-        # Inner pair (1→2) + outer pair (0→4).
-        assert operators["A"]["count"] == 2
-        assert operators["A"]["wall_time"] == 5.0
-
-    def test_unbalanced_logs_handled_gracefully(self):
-        log = EventLog()
-        log.emit(EventKind.OPERATOR_END, "ghost", at=1.0)  # END, no START
-        log.emit(EventKind.OPERATOR_START, "truncated", at=2.0)  # never ends
-        operators = summarize_run(log)["operators"]
-        assert "ghost" not in operators
-        assert operators["truncated"] == {
-            "count": 0,
-            "wall_time": 0.0,
-            "unclosed": 1,
-        }
-
-    def test_wall_time_present_for_real_run(self, state, tweet_corpus):
-        state = _run_small_pipeline(state, tweet_corpus)
-        operators = summarize_run(state.events)["operators"]
-        gen_labels = [label for label in operators if label.startswith("GEN")]
-        assert gen_labels
-        assert sum(operators[label]["wall_time"] for label in gen_labels) > 0
 
 
 class TestEventExport:

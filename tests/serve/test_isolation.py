@@ -2,9 +2,9 @@
 
 Four properties, each structural rather than policed:
 
-- **cache isolation** — tenants hit only their own radix/structured
-  prompt cache partition and result cache; a second tenant running the
-  exact same workload stays stone cold;
+- **cache isolation** — tenants hit only their own radix KV partition,
+  view (structured prompt) cache and result cache; a second tenant
+  running the exact same workload stays stone cold;
 - **byte identity** — a tenant's outputs (and its ledger run, modulo
   host timestamps) are identical to a standalone executor run of the
   same pipeline, gated by ``spear diff --gate``;
@@ -107,7 +107,6 @@ class TestCacheIsolation:
             cold_b = server.session("b").partition.snapshot()
             warm_a = server.submit(request_for(server, "a")).result()
         assert cold_b["kv_cache"] == cold_a["kv_cache"]
-        assert cold_b["prompt_cache"] == cold_a["prompt_cache"]
         assert first_b.elapsed == first_a.elapsed
         # whereas A's own repeat genuinely warms A's partition
         warm_part = server.session("a").partition.snapshot()
@@ -116,6 +115,23 @@ class TestCacheIsolation:
             > 2 * cold_a["kv_cache"]["block_hits"]
         )
         assert warm_a.elapsed < first_a.elapsed
+
+    def test_view_caches_are_private(self):
+        server = make_server()
+        server.add_tenant("a")
+        server.add_tenant("b")
+        views_a = server.session("a").executor.views
+        views_b = server.session("b").executor.views
+        assert views_a.cache is not views_b.cache
+        for views in (views_a, views_b):
+            views.define("greet", "Hello {name}.", params=("name",))
+        assert views_a.expand("greet", {"name": "x"}) == "Hello x."
+        assert len(views_a.cache) == 1
+        assert len(views_b.cache) == 0
+        # B's first expansion of the identical view misses: A's entry is
+        # not visible to it.
+        assert views_b.expand("greet", {"name": "x"}) == "Hello x."
+        assert views_b.cache.snapshot()["hits"] == 0
 
     def test_result_cache_never_crosses_tenants(self):
         server = make_server()
