@@ -1,6 +1,9 @@
-"""Tests for timeline rendering and the JSONL event codec."""
+"""Tests for timeline rendering, run summaries and the JSONL event codec."""
+
+import pytest
 
 from repro.core import CHECK, Condition, GEN, REF, RefAction
+from repro.obs import build_run_report, build_span_tree, iter_spans
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.tracing import render_timeline
 
@@ -61,6 +64,55 @@ class TestRenderTimeline:
 
     def test_empty_log(self):
         assert render_timeline(EventLog()) == ""
+
+
+class TestSummarizeRun:
+    """A run summarised from its event log: per-kind counts and latency from
+    :func:`build_run_report`, per-label wall time from the span tree."""
+
+    def test_counts_and_latency(self, state, tweet_corpus):
+        state = _run_small_pipeline(state, tweet_corpus)
+        report = build_run_report(state.events)
+        assert report.operators["GEN"]["invocations"] == 2
+        assert report.operators["CHECK"]["invocations"] == 1
+        assert report.operators["REF"]["invocations"] == 1
+        assert report.totals["gen_calls"] == 2
+        assert report.generation["qa"]["latency_seconds"]["total"] > 0
+
+    def test_operator_wall_time_from_lifecycle_pairs(self):
+        log = EventLog()
+        log.emit(EventKind.OPERATOR_START, "A", at=1.0)
+        log.emit(EventKind.OPERATOR_START, "B", at=2.0)
+        log.emit(EventKind.OPERATOR_END, "B", at=5.0)
+        log.emit(EventKind.OPERATOR_END, "A", at=6.0)
+        spans = {span.operator: span for span in iter_spans(build_span_tree(log))}
+        assert set(spans) == {"A", "B"}
+        assert (spans["A"].wall, spans["A"].complete) == (5.0, True)
+        assert (spans["B"].wall, spans["B"].complete) == (3.0, True)
+        assert spans["A"].children == [spans["B"]]
+
+    def test_unbalanced_logs_handled_gracefully(self):
+        log = EventLog()
+        log.emit(EventKind.OPERATOR_END, "ghost", at=1.0)  # END, no START
+        log.emit(EventKind.OPERATOR_START, "truncated", at=2.0)  # never ends
+        (span,) = build_span_tree(log)
+        assert span.operator == "truncated"
+        assert not span.complete
+        assert span.wall == 0.0
+
+    def test_wall_time_present_for_real_run(self, state, tweet_corpus):
+        state = _run_small_pipeline(state, tweet_corpus)
+        gen_spans = [
+            span
+            for span in iter_spans(build_span_tree(state.events))
+            if span.operator.startswith("GEN")
+        ]
+        assert len(gen_spans) == 2
+        assert sum(span.wall for span in gen_spans) > 0
+        gen_wall = build_run_report(state.events).operators["GEN"]["wall_seconds"]
+        assert gen_wall["total"] == pytest.approx(
+            sum(span.wall for span in gen_spans), abs=1e-4
+        )
 
 
 class TestEventExport:
